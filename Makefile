@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-smoke hedge-smoke clean
+.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-smoke hedge-smoke perfbench-smoke clean
 
 all: check
 
@@ -85,6 +85,16 @@ bench-smoke:
 # detector plane; phase latencies emitted to BENCH_hedge.json.
 hedge-smoke:
 	$(GO) run -race ./cmd/depfast-bench -exp hedge -quick -out BENCH_hedge.json
+
+# Repository-benchmark smoke: one short window of each BENCHMARK.json
+# workload, gated on the benchmark's correctness checks (convergence,
+# replica agreement, provenance, no acked-write loss, and
+# linearizability on read-lease) through its exit code. The numbers are
+# printed, not gated. read-lease needs a 30 s window to support its
+# write p99; a shorter one exits with code 2.
+perfbench-smoke:
+	bash _perfbench/run.sh --workload write-saturate --seed 1 --seconds 5 --trace 0
+	bash _perfbench/run.sh --workload read-lease --seed 1 --seconds 30 --trace 0
 
 examples:
 	$(GO) run ./examples/quickstart

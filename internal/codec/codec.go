@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Common decode errors.
@@ -87,6 +88,72 @@ func (e *Encoder) BytesField(b []byte) {
 func (e *Encoder) String(s string) {
 	e.Uint64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// BeginBytes opens a length-prefixed byte string whose contents are
+// encoded in place by the writes that follow; EndBytes closes it. The
+// pair produces the same bytes as BytesField over the contents, without
+// encoding them into a separate buffer first. Pairs nest.
+func (e *Encoder) BeginBytes() int {
+	e.buf = append(e.buf, 0) // room for a one-byte length
+	return len(e.buf)
+}
+
+// EndBytes writes the length prefix of the byte string opened at start,
+// moving the contents up when the length needs a longer varint.
+func (e *Encoder) EndBytes(start int) {
+	n := len(e.buf) - start
+	if n < 0x80 {
+		e.buf[start-1] = byte(n)
+		return
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], uint64(n))
+	e.buf = append(e.buf, hdr[1:k]...) // grow by the extra prefix bytes
+	copy(e.buf[start-1+k:], e.buf[start:start+n])
+	copy(e.buf[start-1:], hdr[:k])
+}
+
+// Message appends msg with its type tag prefix, exactly as Marshal
+// encodes it.
+func (e *Encoder) Message(msg Message) {
+	e.Uint64(uint64(msg.TypeTag()))
+	msg.MarshalTo(e)
+}
+
+// MessageField appends msg as a length-prefixed byte string: the bytes
+// of BytesField(Marshal(msg)), encoded in place.
+func (e *Encoder) MessageField(msg Message) {
+	start := e.BeginBytes()
+	e.Message(msg)
+	e.EndBytes(start)
+}
+
+// maxPooledEncoder bounds the buffers kept for reuse, so one large
+// snapshot does not pin its scratch space for the process lifetime.
+const maxPooledEncoder = 64 << 10
+
+var scratchPool = sync.Pool{New: func() any { return NewEncoder(512) }}
+
+// Scratch returns an empty pooled encoder. Encode into it and take the
+// result with Detach; an encoder that is dropped instead is just
+// garbage.
+func Scratch() *Encoder {
+	e := scratchPool.Get().(*Encoder)
+	e.Reset()
+	return e
+}
+
+// Detach returns an exact-size copy of the encoded bytes and puts the
+// encoder back into the Scratch pool. The encoder must not be used
+// afterwards.
+func (e *Encoder) Detach() []byte {
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	if cap(e.buf) <= maxPooledEncoder {
+		scratchPool.Put(e)
+	}
+	return out
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
@@ -169,8 +236,24 @@ func (d *Decoder) Float64() float64 {
 }
 
 // BytesField reads a length-prefixed byte string. The returned slice is
-// a copy and remains valid after the decoder's buffer is reused.
+// an exact-size copy and remains valid after the decoder's buffer is
+// reused: use it for bytes that outlive the message being decoded.
 func (d *Decoder) BytesField() []byte {
+	v := d.BytesView()
+	if v == nil {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
+}
+
+// BytesView reads a length-prefixed byte string without copying it:
+// the result aliases the decoder's buffer, so it is valid only as long
+// as that buffer is neither reused nor modified. A frame delivered by a
+// transport is immutable, so views of it are safe while its handler
+// runs.
+func (d *Decoder) BytesView() []byte {
 	n := d.Uint64()
 	if d.err != nil {
 		return nil
@@ -183,8 +266,7 @@ func (d *Decoder) BytesField() []byte {
 		d.fail(ErrShortBuffer)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
+	out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return out
 }
@@ -236,17 +318,25 @@ func Registered(tag uint32) bool {
 	return ok
 }
 
-// Marshal encodes msg with its type tag prefix.
+// Marshal encodes msg with its type tag prefix into a pooled scratch
+// encoder and returns one exact-size copy.
 func Marshal(msg Message) []byte {
-	e := NewEncoder(64)
-	e.Uint64(uint64(msg.TypeTag()))
-	msg.MarshalTo(e)
-	return e.Bytes()
+	e := Scratch()
+	e.Message(msg)
+	return e.Detach()
 }
 
-// Unmarshal decodes a tagged message produced by Marshal.
+var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
+
+// Unmarshal decodes a tagged message produced by Marshal. Fields read
+// with BytesView alias data; see the message type for which those are.
 func Unmarshal(data []byte) (Message, error) {
-	d := NewDecoder(data)
+	d := decoderPool.Get().(*Decoder)
+	*d = Decoder{buf: data}
+	defer func() {
+		*d = Decoder{}
+		decoderPool.Put(d)
+	}()
 	tag := d.Uint64()
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -17,8 +17,11 @@ type Coroutine struct {
 	queued   bool // sitting in the ready queue
 	stopKill bool // woken by shutdown; waits return ErrStopped
 
-	waitGen      uint64 // incremented when a wait completes; invalidates timers
-	wakeTimedOut bool   // set by a timeout timer before waking the coroutine
+	// wakeup is the coroutine's one timer: a coroutine is in at most one
+	// timed wait, and every wait takes its timer off the runtime's heap
+	// when it ends, so no closure or stale entry outlives the wait.
+	wakeup       timer
+	wakeTimedOut bool // set by a timeout timer before waking the coroutine
 }
 
 // ID returns the coroutine's runtime-unique id.
@@ -91,7 +94,6 @@ func (co *Coroutine) Wait(ev Event) error {
 		ev.addWaiter(co)
 		co.park()
 		ev.removeWaiter(co)
-		co.waitGen++
 		if co.stopKill {
 			co.trace(ev, start, false)
 			return ErrStopped
@@ -112,6 +114,7 @@ func (co *Coroutine) WaitFor(ev Event, timeout time.Duration) WaitResult {
 func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc *EventDesc) WaitResult {
 	start := time.Now()
 	deadline := start.Add(timeout)
+	defer co.rt.removeTimer(&co.wakeup)
 	armed := false
 	for !ev.Ready() {
 		if co.stopKill || co.rt.stopping.Load() {
@@ -120,38 +123,28 @@ func (co *Coroutine) waitForDesc(ev Event, timeout time.Duration, desc *EventDes
 			return WaitStopped
 		}
 		if !time.Now().Before(deadline) {
-			co.waitGen++
 			co.traceDesc(ev, desc, start, true)
 			return WaitTimeout
 		}
 		if !armed {
 			armed = true
-			gen := co.waitGen
-			co.rt.addTimer(deadline, func() {
-				if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
-					co.wakeTimedOut = true
-					co.rt.makeReady(co)
-				}
-			})
+			co.rt.addTimer(&co.wakeup, deadline, true)
 		}
 		ev.addWaiter(co)
 		co.park()
 		ev.removeWaiter(co)
 		if co.stopKill {
-			co.waitGen++
 			co.traceDesc(ev, desc, start, false)
 			return WaitStopped
 		}
 		if co.wakeTimedOut {
 			co.wakeTimedOut = false
 			if !ev.Ready() {
-				co.waitGen++
 				co.traceDesc(ev, desc, start, true)
 				return WaitTimeout
 			}
 		}
 	}
-	co.waitGen++
 	co.traceDesc(ev, desc, start, false)
 	return WaitReady
 }
@@ -163,15 +156,10 @@ func (co *Coroutine) Sleep(d time.Duration) error {
 		return ErrStopped
 	}
 	deadline := time.Now().Add(d)
+	defer co.rt.removeTimer(&co.wakeup)
 	for {
-		gen := co.waitGen
-		co.rt.addTimer(deadline, func() {
-			if _, parked := co.rt.parkedSet[co]; parked && co.waitGen == gen {
-				co.rt.makeReady(co)
-			}
-		})
+		co.rt.addTimer(&co.wakeup, deadline, false)
 		co.park()
-		co.waitGen++
 		if co.stopKill {
 			return ErrStopped
 		}

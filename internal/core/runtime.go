@@ -151,6 +151,7 @@ func (rt *Runtime) spawnLocked(name string, fn func(co *Coroutine)) {
 		rt:     rt,
 		resume: make(chan struct{}),
 	}
+	co.wakeup.co = co
 	rt.live++
 	go func() {
 		<-co.resume // wait for first schedule
@@ -195,6 +196,10 @@ func (rt *Runtime) Stopped() bool { return rt.stopping.Load() }
 func (rt *Runtime) loop() {
 	defer rt.loopWG.Done()
 	defer close(rt.done)
+	// One timer serves every idle wait of the loop.
+	idle := time.NewTimer(time.Hour)
+	stopTimer(idle)
+	defer idle.Stop()
 	for {
 		// Apply all pending posted completions without blocking.
 	drain:
@@ -210,8 +215,7 @@ func (rt *Runtime) loop() {
 		// Fire expired timers.
 		now := time.Now()
 		for len(rt.timers) > 0 && !rt.timers[0].at.After(now) {
-			t := heap.Pop(&rt.timers).(*timer)
-			t.fire()
+			heap.Pop(&rt.timers).(*timer).fire()
 		}
 
 		if rt.stopping.Load() {
@@ -235,12 +239,12 @@ func (rt *Runtime) loop() {
 			if d <= 0 {
 				continue
 			}
-			tm := time.NewTimer(d)
+			idle.Reset(d)
 			select {
 			case fn := <-rt.post:
-				tm.Stop()
+				stopTimer(idle)
 				fn()
-			case <-tm.C:
+			case <-idle.C:
 			}
 			continue
 		}
@@ -320,11 +324,34 @@ func (rt *Runtime) makeReady(co *Coroutine) {
 	rt.ready = append(rt.ready, co)
 }
 
-// timer is a scheduled wakeup.
+// stopTimer stops tm and drains a tick that fired before Stop, so the
+// next Reset starts clean under pre-Go-1.23 timer semantics too.
+func stopTimer(tm *time.Timer) {
+	if !tm.Stop() {
+		select {
+		case <-tm.C:
+		default:
+		}
+	}
+}
+
+// timer is a scheduled wakeup of a coroutine parked in a timed wait.
+// Each coroutine owns one (Coroutine.wakeup); idx is its heap position
+// while it is scheduled.
 type timer struct {
-	at   time.Time
-	fire func()
-	idx  int
+	at      time.Time
+	co      *Coroutine
+	timeout bool // the wakeup ends a WaitFor, not a Sleep
+	idx     int
+}
+
+// fire wakes the owner if it is still parked.
+func (t *timer) fire() {
+	co := t.co
+	if _, parked := co.rt.parkedSet[co]; parked {
+		co.wakeTimedOut = t.timeout
+		co.rt.makeReady(co)
+	}
 }
 
 type timerHeap []*timer
@@ -339,12 +366,29 @@ func (h *timerHeap) Pop() interface{} {
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.idx = -1
 	return t
 }
 
-// addTimer registers a wakeup at time at; baton/scheduler context only.
-func (rt *Runtime) addTimer(at time.Time, fire func()) *timer {
-	t := &timer{at: at, fire: fire}
+// addTimer schedules t to wake its coroutine at time at, rescheduling it
+// if it is already pending; baton/scheduler context only.
+func (rt *Runtime) addTimer(t *timer, at time.Time, timeout bool) {
+	t.at, t.timeout = at, timeout
+	if rt.scheduled(t) {
+		heap.Fix(&rt.timers, t.idx)
+		return
+	}
 	heap.Push(&rt.timers, t)
-	return t
+}
+
+func (rt *Runtime) scheduled(t *timer) bool {
+	return t.idx >= 0 && t.idx < len(rt.timers) && rt.timers[t.idx] == t
+}
+
+// removeTimer unschedules t if it is pending; baton/scheduler context
+// only.
+func (rt *Runtime) removeTimer(t *timer) {
+	if rt.scheduled(t) {
+		heap.Remove(&rt.timers, t.idx)
+	}
 }

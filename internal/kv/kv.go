@@ -57,25 +57,32 @@ type Command struct {
 
 // Encode serializes the command for a log entry.
 func (c Command) Encode() []byte {
-	e := codec.NewEncoder(len(c.Key) + len(c.Value) + 16)
+	e := codec.Scratch()
+	c.MarshalTo(e)
+	return e.Detach()
+}
+
+// MarshalTo appends the command's encoding (the bytes of Encode) to e.
+func (c *Command) MarshalTo(e *codec.Encoder) {
 	e.Int(int(c.Op))
 	e.String(c.Key)
 	e.BytesField(c.Value)
 	e.Int(c.ScanLen)
 	e.BytesField(c.Expect)
-	return e.Bytes()
 }
 
-// DecodeCommand parses a command from entry data.
+// DecodeCommand parses a command from entry data. Value and Expect are
+// views of data, not copies: they live as long as data does, and a
+// Store copies what it keeps.
 func DecodeCommand(data []byte) (Command, error) {
 	d := codec.NewDecoder(data)
 	c := Command{
 		Op:  OpKind(d.Int()),
 		Key: d.String(),
 	}
-	c.Value = d.BytesField()
+	c.Value = d.BytesView()
 	c.ScanLen = d.Int()
-	c.Expect = d.BytesField()
+	c.Expect = d.BytesView()
 	return c, d.Err()
 }
 
@@ -247,22 +254,27 @@ type ClientRequest struct {
 // TypeTag implements codec.Message.
 func (m *ClientRequest) TypeTag() uint32 { return TagClientRequest }
 
-// MarshalTo implements codec.Message.
+// MarshalTo implements codec.Message. The command is encoded in place.
 func (m *ClientRequest) MarshalTo(e *codec.Encoder) {
 	e.Uint64(m.ClientID)
 	e.Uint64(m.Seq)
-	e.BytesField(m.Cmd.Encode())
+	cmd := e.BeginBytes()
+	m.Cmd.MarshalTo(e)
+	e.EndBytes(cmd)
 	e.Uint64(m.TraceID)
 	e.Uint64(m.TraceSpan)
 	e.Bool(m.TraceSampled)
 	e.Bool(m.FollowerRead)
 }
 
-// UnmarshalFrom implements codec.Message.
+// UnmarshalFrom implements codec.Message. The command's Value and
+// Expect are views of the decoder's buffer (see DecodeCommand): a
+// server handler uses them while the request frame is alive, and the
+// apply path decodes them from the log entry that owns its bytes.
 func (m *ClientRequest) UnmarshalFrom(d *codec.Decoder) {
 	m.ClientID = d.Uint64()
 	m.Seq = d.Uint64()
-	cmd, err := DecodeCommand(d.BytesField())
+	cmd, err := DecodeCommand(d.BytesView())
 	if err == nil {
 		m.Cmd = cmd
 	}

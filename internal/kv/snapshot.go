@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"depfast/internal/codec"
@@ -8,13 +9,27 @@ import (
 
 // Snapshot serializes the full store state.
 func (s *Store) Snapshot() []byte {
-	e := codec.NewEncoder(64 * len(s.m))
+	e := codec.NewEncoder(s.snapshotSize())
+	s.marshalTo(e)
+	return e.Bytes()
+}
+
+// snapshotSize bounds the encoded size of the store from above, so a
+// snapshot encodes into one buffer without growing it.
+func (s *Store) snapshotSize() int {
+	n := binary.MaxVarintLen64
+	for k, v := range s.m {
+		n += len(k) + len(v) + 2*binary.MaxVarintLen64
+	}
+	return n
+}
+
+func (s *Store) marshalTo(e *codec.Encoder) {
 	e.Int(len(s.m))
 	for k, v := range s.m {
 		e.String(k)
 		e.BytesField(v)
 	}
-	return e.Bytes()
 }
 
 // Restore replaces the store contents with a snapshot produced by
@@ -71,9 +86,10 @@ func decodeResult(d *codec.Decoder) Result {
 // restored replica keeps exactly-once semantics across the snapshot
 // boundary.
 func (s *Sessions) Snapshot() []byte {
-	e := codec.NewEncoder(1024)
-	store := s.store.Snapshot()
-	e.BytesField(store)
+	e := codec.NewEncoder(s.store.snapshotSize() + 64*len(s.lastSeq) + 16)
+	store := e.BeginBytes()
+	s.store.marshalTo(e)
+	e.EndBytes(store)
 	e.Int(len(s.lastSeq))
 	for id, seq := range s.lastSeq {
 		e.Uint64(id)

@@ -198,23 +198,15 @@ func (s *Server) proposeBatch(co *core.Coroutine, term uint64, batch []*pendingP
 	targets := s.broadcastTargets()
 	q := core.NewQuorumEvent(1+len(targets), s.majority())
 	q.AddJudged(fsync, nil)
-	prevTerm := s.termOf(first - 1)
+	payload := s.appendPayload(term, first-1, entries)
 	for _, p := range targets {
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: first - 1,
-			PrevLogTerm:  prevTerm,
-			Entries:      entries,
-			LeaderCommit: s.commitIndex,
-		}
 		ev := core.NewResultEvent("rpc", p)
 		judge := s.appendJudge(p, last, term)
 		for _, tp := range traced {
 			judge = s.tracedJudge(judge, tp.tc, tp.quorumID, p)
 		}
 		q.AddJudged(ev, judge)
-		s.outboxes[p].Send(ae, ev, int64(last))
+		s.outboxes[p].SendPayload(payload, ev, int64(last))
 	}
 	s.streamToLearners(entries, last, term)
 	fanned := time.Now()

@@ -614,19 +614,11 @@ func (s *Server) proposeConf(co *core.Coroutine, cc *ConfChange) (uint64, error)
 	targets := s.broadcastTargets()
 	q := core.NewQuorumEvent(1+len(targets), s.majority())
 	q.AddJudged(fsync, nil)
-	prevTerm := s.termOf(idx - 1)
+	payload := s.appendPayload(term, idx-1, entry)
 	for _, p := range targets {
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: idx - 1,
-			PrevLogTerm:  prevTerm,
-			Entries:      entry,
-			LeaderCommit: s.commitIndex,
-		}
 		ev := core.NewResultEvent("rpc", p)
 		q.AddJudged(ev, s.appendJudge(p, idx, term))
-		s.outboxes[p].Send(ae, ev, int64(idx))
+		s.outboxes[p].SendPayload(payload, ev, int64(idx))
 	}
 	s.streamToLearners(entry, idx, term)
 
@@ -706,7 +698,7 @@ func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64)
 		return
 	}
 	prev := entries[0].Index - 1
-	prevTerm := s.termOf(prev)
+	var payload []byte // marshaled for the first learner that streams
 	for _, p := range learners {
 		p := p
 		ob := s.outboxes[p]
@@ -722,13 +714,8 @@ func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64)
 		if s.learnerStream[p] != prev && s.matchIndex[p] != prev {
 			continue
 		}
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: prev,
-			PrevLogTerm:  prevTerm,
-			Entries:      entries,
-			LeaderCommit: s.commitIndex,
+		if payload == nil {
+			payload = s.appendPayload(term, prev, entries)
 		}
 		ev := core.NewResultEvent("rpc", p)
 		judge := s.appendJudge(p, lastIdx, term)
@@ -739,7 +726,7 @@ func (s *Server) streamToLearners(entries []storage.Entry, lastIdx, term uint64)
 				s.learnerStream[p] = 0
 			}
 		})
-		ob.Send(ae, ev, int64(lastIdx))
+		ob.SendPayload(payload, ev, int64(lastIdx))
 		s.learnerStream[p] = lastIdx
 	}
 }

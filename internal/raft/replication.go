@@ -82,24 +82,15 @@ func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (ui
 	targets := s.broadcastTargets()
 	q := core.NewQuorumEvent(1+len(targets), s.majority())
 	q.AddJudged(fsync, nil) // the leader's own durable append is one ack
-	prevTerm := s.termOf(idx - 1)
+	payload := s.appendPayload(term, idx-1, []storage.Entry{entry})
 	for _, p := range targets {
-		p := p
-		ae := &AppendEntries{
-			Term:         term,
-			Leader:       s.cfg.ID,
-			PrevLogIndex: idx - 1,
-			PrevLogTerm:  prevTerm,
-			Entries:      []storage.Entry{entry},
-			LeaderCommit: s.commitIndex,
-		}
 		ev := core.NewResultEvent("rpc", p)
 		judge := s.appendJudge(p, idx, term)
 		if traced {
 			judge = s.tracedJudge(judge, tc, quorumID, p)
 		}
 		q.AddJudged(ev, judge)
-		s.outboxes[p].Send(ae, ev, int64(idx))
+		s.outboxes[p].SendPayload(payload, ev, int64(idx))
 	}
 	s.streamToLearners([]storage.Entry{entry}, idx, term)
 	fanned := time.Now()
@@ -218,6 +209,20 @@ func (s *Server) emitCommitSpan(start, appendDone, fanned, quorumAt time.Time, i
 		f["append_us"] = float64(appendDone.Sub(start).Microseconds())
 	}
 	s.rec.Emit(obs.Event{Type: obs.CommitSpan, Node: s.cfg.ID, Fields: f})
+}
+
+// appendPayload marshals the AppendEntries carrying entries after prev
+// for one fan-out. Every target of a broadcast gets the same message,
+// so it is encoded once and the outboxes share the bytes.
+func (s *Server) appendPayload(term, prev uint64, entries []storage.Entry) []byte {
+	return codec.Marshal(&AppendEntries{
+		Term:         term,
+		Leader:       s.cfg.ID,
+		PrevLogIndex: prev,
+		PrevLogTerm:  s.termOf(prev),
+		Entries:      entries,
+		LeaderCommit: s.commitIndex,
+	})
 }
 
 // broadcastTargets returns the voters charged to latency-critical

@@ -41,9 +41,9 @@ type Endpoint struct {
 	tr   transport.Transport
 
 	mu          sync.Mutex
-	pending     map[uint64]*pendingCall
+	pending     map[uint64]pendingCall
 	nextID      uint64
-	handlers    map[uint32]HandlerFunc
+	handlers    map[uint32]handler
 	closed      bool
 	unreachable map[string]bool
 
@@ -61,6 +61,16 @@ type pendingCall struct {
 	to       string
 	sentAt   time.Time
 	deadline time.Time
+	// ob, when set, is the outbox whose window slot the call holds;
+	// completing the call frees it.
+	ob *Outbox
+}
+
+// handler is a registered HandlerFunc with the coroutine name its
+// requests run under.
+type handler struct {
+	fn   HandlerFunc
+	name string
 }
 
 // Option configures an Endpoint.
@@ -88,8 +98,8 @@ func NewEndpoint(node string, rt *core.Runtime, tr transport.Transport, opts ...
 		node:        node,
 		rt:          rt,
 		tr:          tr,
-		pending:     make(map[uint64]*pendingCall),
-		handlers:    make(map[uint32]HandlerFunc),
+		pending:     make(map[uint64]pendingCall),
+		handlers:    make(map[uint32]handler),
 		callTimeout: 5 * time.Second,
 		sweepStop:   make(chan struct{}),
 		Calls:       metrics.NewCounter("rpc.calls"),
@@ -112,7 +122,7 @@ func (ep *Endpoint) Runtime() *core.Runtime { return ep.rt }
 func (ep *Endpoint) Handle(tag uint32, h HandlerFunc) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.handlers[tag] = h
+	ep.handlers[tag] = handler{fn: h, name: fmt.Sprintf("rpc-%d", tag)}
 }
 
 // Close fails all pending calls and stops the sweeper.
@@ -121,11 +131,10 @@ func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	ep.closed = true
 	pend := ep.pending
-	ep.pending = make(map[uint64]*pendingCall)
+	ep.pending = make(map[uint64]pendingCall)
 	ep.mu.Unlock()
 	for _, pc := range pend {
-		pc := pc
-		ep.rt.Post(func() { pc.ev.Fire(nil, ErrClosed) })
+		ep.postCompletion(pc, nil, ErrClosed)
 	}
 }
 
@@ -134,37 +143,64 @@ func (ep *Endpoint) Close() {
 // of its coroutines or a posted function) — like all event creation.
 func (ep *Endpoint) Call(to string, req codec.Message) *core.ResultEvent {
 	ev := core.NewResultEvent("rpc", to)
-	ep.CallWithEvent(to, codec.Marshal(req), ev)
+	ep.send(to, pendingCall{ev: ev}, req, nil)
 	return ev
 }
 
-// CallWithEvent sends a pre-marshaled request and fires ev with the
-// outcome; the outbox uses it to relay completions into events the
-// logic already holds.
-func (ep *Endpoint) CallWithEvent(to string, reqPayload []byte, ev *core.ResultEvent) {
+// send books pc and puts one request frame on the wire: req encoded in
+// place when it is set, the pre-marshaled payload otherwise.
+func (ep *Endpoint) send(to string, pc pendingCall, req codec.Message, payload []byte) {
 	ep.Calls.Inc()
-	id, err := ep.register(to, ev)
+	id, err := ep.register(to, pc)
 	if err != nil {
-		ev.Fire(nil, err)
+		finish(pc.ev, pc.ob, nil, err)
 		return
 	}
-
-	e := codec.NewEncoder(len(reqPayload) + 16)
-	e.Uint64(id)
-	e.Bool(false) // request
-	e.BytesField(reqPayload)
-	if err := ep.tr.Send(ep.node, to, e.Bytes()); err != nil {
+	if err := ep.tr.Send(ep.node, to, requestFrame(id, req, payload)); err != nil {
 		ep.mu.Lock()
+		_, booked := ep.pending[id]
 		delete(ep.pending, id)
 		ep.mu.Unlock()
-		ev.Fire(nil, err)
+		if booked {
+			finish(pc.ev, pc.ob, nil, err)
+		}
 	}
+}
+
+// requestFrame encodes the (id, request, body) envelope with one
+// exact-size allocation.
+func requestFrame(id uint64, req codec.Message, payload []byte) []byte {
+	e := codec.Scratch()
+	e.Uint64(id)
+	e.Bool(false) // request
+	if req != nil {
+		e.MessageField(req)
+	} else {
+		e.BytesField(payload)
+	}
+	return e.Detach()
+}
+
+// finish resolves a call with its outcome, freeing the outbox window
+// slot it holds, if any; baton context only.
+func finish(ev *core.ResultEvent, ob *Outbox, msg codec.Message, err error) {
+	if ob != nil {
+		ob.complete(ev, msg, err)
+		return
+	}
+	ev.Fire(msg, err)
+}
+
+// postCompletion resolves the call on the runtime baton.
+func (ep *Endpoint) postCompletion(pc pendingCall, msg codec.Message, err error) {
+	ev, ob := pc.ev, pc.ob
+	ep.rt.Post(func() { finish(ev, ob, msg, err) })
 }
 
 // register books the pending call under the lock, fast-failing when
 // the endpoint is closed or the peer is out of the configuration (so
 // a removed peer costs an error, not a full call timeout).
-func (ep *Endpoint) register(to string, ev *core.ResultEvent) (uint64, error) {
+func (ep *Endpoint) register(to string, pc pendingCall) (uint64, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
@@ -176,7 +212,8 @@ func (ep *Endpoint) register(to string, ev *core.ResultEvent) (uint64, error) {
 	ep.nextID++
 	id := ep.nextID
 	now := time.Now()
-	ep.pending[id] = &pendingCall{ev: ev, to: to, sentAt: now, deadline: now.Add(ep.callTimeout)}
+	pc.to, pc.sentAt, pc.deadline = to, now, now.Add(ep.callTimeout)
+	ep.pending[id] = pc
 	return id, nil
 }
 
@@ -197,22 +234,24 @@ func (ep *Endpoint) SetUnreachable(peer string, down bool) {
 }
 
 // TransportHandler returns the inbound message handler to register
-// with the transport for this node.
-func (ep *Endpoint) TransportHandler() transport.Handler {
-	return func(from string, payload []byte) {
-		d := codec.NewDecoder(payload)
-		id := d.Uint64()
-		isResp := d.Bool()
-		body := d.BytesField()
-		if d.Err() != nil {
-			return // corrupt frame
-		}
-		if isResp {
-			ep.onResponse(id, body)
-			return
-		}
-		ep.onRequest(from, id, body)
+// with the transport for this node. The envelope and the reply body
+// are decoded as views of the frame; only what a message keeps is
+// copied, by its own decoder.
+func (ep *Endpoint) TransportHandler() transport.Handler { return ep.deliver }
+
+func (ep *Endpoint) deliver(from string, payload []byte) {
+	d := codec.NewDecoder(payload)
+	id := d.Uint64()
+	isResp := d.Bool()
+	body := d.BytesView()
+	if d.Err() != nil {
+		return // corrupt frame
 	}
+	if isResp {
+		ep.onResponse(id, body)
+		return
+	}
+	ep.onRequest(from, id, body)
 }
 
 // onResponse completes the pending call, on the runtime baton.
@@ -230,7 +269,7 @@ func (ep *Endpoint) onResponse(id uint64, body []byte) {
 		ep.observer(pc.to, time.Since(pc.sentAt), false)
 	}
 	msg, err := decodeReply(body)
-	ep.rt.Post(func() { pc.ev.Fire(msg, err) })
+	ep.postCompletion(pc, msg, err)
 }
 
 // decodeReply splits the (ok, errmsg, payload) reply body.
@@ -238,7 +277,7 @@ func decodeReply(body []byte) (codec.Message, error) {
 	d := codec.NewDecoder(body)
 	ok := d.Bool()
 	errMsg := d.String()
-	inner := d.BytesField()
+	inner := d.BytesView()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
@@ -257,14 +296,14 @@ func (ep *Endpoint) onRequest(from string, id uint64, body []byte) {
 		return
 	}
 	ep.mu.Lock()
-	h := ep.handlers[msg.TypeTag()]
+	h, ok := ep.handlers[msg.TypeTag()]
 	ep.mu.Unlock()
-	if h == nil {
+	if !ok {
 		ep.reply(from, id, nil, fmt.Errorf("no handler for tag %d", msg.TypeTag()))
 		return
 	}
-	ep.rt.Spawn(fmt.Sprintf("rpc-%d", msg.TypeTag()), func(co *core.Coroutine) {
-		resp := h(co, from, msg)
+	ep.rt.Spawn(h.name, func(co *core.Coroutine) {
+		resp := h.fn(co, from, msg)
 		if resp == nil {
 			ep.reply(from, id, nil, errors.New("handler returned no reply"))
 			return
@@ -275,24 +314,30 @@ func (ep *Endpoint) onRequest(from string, id uint64, body []byte) {
 
 // reply sends a response envelope back to the caller.
 func (ep *Endpoint) reply(to string, id uint64, msg codec.Message, herr error) {
-	var inner []byte
-	if msg != nil {
-		inner = codec.Marshal(msg)
-	}
-	body := codec.NewEncoder(len(inner) + 32)
-	body.Bool(herr == nil)
-	if herr != nil {
-		body.String(herr.Error())
-	} else {
-		body.String("")
-	}
-	body.BytesField(inner)
+	_ = ep.tr.Send(ep.node, to, replyFrame(id, msg, herr)) // reply loss is a timeout at the caller
+}
 
-	e := codec.NewEncoder(body.Len() + 16)
+// replyFrame encodes the (id, response, body) envelope around the
+// (ok, errmsg, payload) body, nested fields in place, with one
+// exact-size allocation.
+func replyFrame(id uint64, msg codec.Message, herr error) []byte {
+	e := codec.Scratch()
 	e.Uint64(id)
 	e.Bool(true) // response
-	e.BytesField(body.Bytes())
-	_ = ep.tr.Send(ep.node, to, e.Bytes()) // reply loss is a timeout at the caller
+	body := e.BeginBytes()
+	e.Bool(herr == nil)
+	if herr != nil {
+		e.String(herr.Error())
+	} else {
+		e.String("")
+	}
+	if msg != nil {
+		e.MessageField(msg)
+	} else {
+		e.BytesField(nil)
+	}
+	e.EndBytes(body)
+	return e.Detach()
 }
 
 // sweep periodically fails pending calls past their deadline.
@@ -304,7 +349,7 @@ func (ep *Endpoint) sweep() {
 		case <-ep.sweepStop:
 			return
 		case now := <-tick.C:
-			var expired []*pendingCall
+			var expired []pendingCall
 			ep.mu.Lock()
 			for id, pc := range ep.pending {
 				if now.After(pc.deadline) {
@@ -314,12 +359,11 @@ func (ep *Endpoint) sweep() {
 			}
 			ep.mu.Unlock()
 			for _, pc := range expired {
-				pc := pc
 				ep.Timeouts.Inc()
 				if ep.observer != nil {
 					ep.observer(pc.to, time.Since(pc.sentAt), true)
 				}
-				ep.rt.Post(func() { pc.ev.Fire(nil, ErrTimeout) })
+				ep.postCompletion(pc, nil, ErrTimeout)
 			}
 		}
 	}

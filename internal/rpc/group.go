@@ -106,6 +106,7 @@ func (g *Group) Broadcast(req codec.Message, quorum, selfAcks int, class int64, 
 	for i := 0; i < selfAcks; i++ {
 		q.AddAck()
 	}
+	payload := codec.Marshal(req) // one encoding shared by every target
 	for _, p := range targets {
 		p := p
 		ev := core.NewResultEvent("rpc", p)
@@ -114,7 +115,7 @@ func (g *Group) Broadcast(req codec.Message, quorum, selfAcks int, class int64, 
 		} else {
 			q.AddJudged(ev, func(v interface{}, err error) bool { return judge(p, v, err) })
 		}
-		g.outboxes[p].Send(req, ev, class)
+		g.outboxes[p].SendPayload(payload, ev, class)
 	}
 	return q
 }

@@ -30,7 +30,8 @@ type Outbox struct {
 	// memory-pressure fault model sees outbox backlog.
 	e *env.Env
 
-	queue    []*queuedSend
+	queue    []queuedSend // queue[head:] is waiting, oldest first
+	head     int
 	inflight int
 	qBytes   int64
 	pumping  bool // flattens re-entrant pump calls from sync failures
@@ -40,7 +41,9 @@ type Outbox struct {
 	Depth     *metrics.Gauge
 }
 
-// queuedSend is one message waiting for a window slot.
+// queuedSend is one message waiting for a window slot. The payload may
+// be shared with other outboxes (one marshal per broadcast); it is
+// immutable.
 type queuedSend struct {
 	payload   []byte
 	ev        *core.ResultEvent
@@ -83,13 +86,25 @@ func (ob *Outbox) Peer() string { return ob.peer }
 // ErrBacklogOverflow / ErrDiscarded if the message never reaches the
 // wire). class orders the message for CancelBelow.
 func (ob *Outbox) Send(req codec.Message, ev *core.ResultEvent, class int64) {
-	payload := codec.Marshal(req)
-	if ob.capacity > 0 && len(ob.queue) >= ob.capacity {
+	ob.SendPayload(codec.Marshal(req), ev, class)
+}
+
+// SendPayload is Send for a message already marshaled with
+// codec.Marshal, so a broadcast encodes once for all of its targets.
+// The outbox keeps payload until it is sent; it must not be modified.
+func (ob *Outbox) SendPayload(payload []byte, ev *core.ResultEvent, class int64) {
+	if ob.capacity > 0 && ob.QueueLen() >= ob.capacity {
 		ob.Overflows.Inc()
 		ev.Fire(nil, ErrBacklogOverflow)
 		return
 	}
-	ob.queue = append(ob.queue, &queuedSend{payload: payload, ev: ev, class: class})
+	if ob.head > 0 && len(ob.queue) == cap(ob.queue) {
+		// Reuse the sent prefix before append would copy it along.
+		n := copy(ob.queue, ob.queue[ob.head:])
+		clear(ob.queue[n:])
+		ob.queue, ob.head = ob.queue[:n], 0
+	}
+	ob.queue = append(ob.queue, queuedSend{payload: payload, ev: ev, class: class})
 	ob.track(int64(len(payload)))
 	ob.pump()
 }
@@ -99,8 +114,8 @@ func (ob *Outbox) Send(req codec.Message, ev *core.ResultEvent, class int64) {
 // discarded. In-flight messages are not affected.
 func (ob *Outbox) CancelBelow(maxClass int64) int {
 	n := 0
-	for _, q := range ob.queue {
-		if !q.cancelled && q.class <= maxClass {
+	for i := ob.head; i < len(ob.queue); i++ {
+		if q := &ob.queue[i]; !q.cancelled && q.class <= maxClass {
 			q.cancelled = true
 			n++
 		}
@@ -115,8 +130,8 @@ func (ob *Outbox) CancelBelow(maxClass int64) int {
 // CancelAll discards everything queued.
 func (ob *Outbox) CancelAll() int {
 	n := 0
-	for _, q := range ob.queue {
-		if !q.cancelled {
+	for i := ob.head; i < len(ob.queue); i++ {
+		if q := &ob.queue[i]; !q.cancelled {
 			q.cancelled = true
 			n++
 		}
@@ -130,20 +145,23 @@ func (ob *Outbox) CancelAll() int {
 
 // compact removes cancelled entries, firing their events.
 func (ob *Outbox) compact() {
+	waiting := ob.queue[ob.head:]
 	kept := ob.queue[:0]
-	for _, q := range ob.queue {
+	var fired []*core.ResultEvent
+	for _, q := range waiting {
 		if q.cancelled {
 			ob.track(-int64(len(q.payload)))
-			q.ev.Fire(nil, ErrDiscarded)
+			fired = append(fired, q.ev)
 			continue
 		}
 		kept = append(kept, q)
 	}
 	// Zero the tail so cancelled entries are collectable.
-	for i := len(kept); i < len(ob.queue); i++ {
-		ob.queue[i] = nil
+	clear(ob.queue[len(kept):])
+	ob.queue, ob.head = kept, 0
+	for _, ev := range fired {
+		ev.Fire(nil, ErrDiscarded)
 	}
-	ob.queue = kept
 }
 
 // pump fills the window from the queue.
@@ -153,27 +171,30 @@ func (ob *Outbox) pump() {
 	}
 	ob.pumping = true
 	defer func() { ob.pumping = false }()
-	for ob.inflight < ob.window && len(ob.queue) > 0 {
-		q := ob.queue[0]
-		copy(ob.queue, ob.queue[1:])
-		ob.queue[len(ob.queue)-1] = nil
-		ob.queue = ob.queue[:len(ob.queue)-1]
+	for ob.inflight < ob.window && ob.head < len(ob.queue) {
+		q := ob.queue[ob.head]
+		ob.queue[ob.head] = queuedSend{}
+		ob.head++
+		if ob.head == len(ob.queue) {
+			ob.queue, ob.head = ob.queue[:0], 0
+		}
 		ob.track(-int64(len(q.payload)))
 		if q.cancelled {
 			q.ev.Fire(nil, ErrDiscarded)
 			continue
 		}
 		ob.inflight++
-		wireEv := core.NewResultEvent("rpc", ob.peer)
-		userEv := q.ev
-		core.OnEvent(wireEv, func() {
-			ob.inflight--
-			userEv.Fire(wireEv.Value(), wireEv.Err())
-			ob.pump()
-		})
-		ob.ep.CallWithEvent(ob.peer, q.payload, wireEv)
+		ob.ep.send(ob.peer, pendingCall{ev: q.ev, ob: ob}, nil, q.payload)
 	}
-	ob.Depth.Set(int64(len(ob.queue)))
+	ob.Depth.Set(int64(ob.QueueLen()))
+}
+
+// complete relays a sent message's outcome to its event and frees its
+// window slot.
+func (ob *Outbox) complete(ev *core.ResultEvent, msg codec.Message, err error) {
+	ob.inflight--
+	ev.Fire(msg, err)
+	ob.pump()
 }
 
 // track adjusts queued-bytes accounting (and resident memory when an
@@ -191,6 +212,6 @@ func (ob *Outbox) track(delta int64) {
 
 // QueueLen returns queued (unsent) messages; QueueBytes their bytes;
 // Inflight the in-window count.
-func (ob *Outbox) QueueLen() int     { return len(ob.queue) }
+func (ob *Outbox) QueueLen() int     { return len(ob.queue) - ob.head }
 func (ob *Outbox) QueueBytes() int64 { return ob.qBytes }
 func (ob *Outbox) Inflight() int     { return ob.inflight }

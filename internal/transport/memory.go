@@ -7,7 +7,6 @@
 package transport
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,7 +18,10 @@ import (
 
 // Handler receives a message on the destination node's dispatcher
 // goroutine. Implementations must not block for long; hand off to a
-// runtime via Post.
+// runtime via Post. payload must not be modified, and views into it
+// (slices of it that a decoder returns without copying) must not
+// outlive the work the handler starts for the message: anything kept
+// longer is copied out.
 type Handler func(from string, payload []byte)
 
 // Transport is the sender-side interface used by the RPC layer.
@@ -27,6 +29,11 @@ type Transport interface {
 	// Send delivers payload from node from to node to, asynchronously.
 	// Errors are best-effort: an unknown destination errors, a dropped
 	// message on a partitioned link does not.
+	//
+	// A frame is immutable once sent: the in-memory network hands the
+	// very same slice to the receiver's Handler, so neither the sender
+	// nor the receiver may write to it afterwards, and receivers decode
+	// it into views that must not outlive their handler.
 	Send(from, to string, payload []byte) error
 	// Close stops all delivery.
 	Close()
@@ -199,24 +206,53 @@ type delivery struct {
 	seq     uint64
 }
 
-type delivHeap []*delivery
-
-func (h delivHeap) Len() int { return len(h) }
-func (h delivHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (d *delivery) before(o *delivery) bool {
+	if !d.at.Equal(o.at) {
+		return d.at.Before(o.at)
 	}
-	return h[i].seq < h[j].seq
+	return d.seq < o.seq
 }
-func (h delivHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *delivHeap) Push(x interface{}) { *h = append(*h, x.(*delivery)) }
-func (h *delivHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return d
+
+// delivHeap is a min-heap of deliveries by (at, seq), held by value so
+// queueing a message allocates nothing once the slice has grown.
+type delivHeap []delivery
+
+func (h *delivHeap) push(d delivery) {
+	*h = append(*h, d)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *delivHeap) pop() delivery {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = delivery{} // drop the payload reference
+	q = q[:n]
+	for i := 0; ; {
+		l, small := 2*i+1, i
+		if l < n && q[l].before(&q[small]) {
+			small = l
+		}
+		if r := l + 1; r < n && q[r].before(&q[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	*h = q
+	return top
 }
 
 // memNode is one registered node: a delay queue plus a dispatcher.
@@ -246,7 +282,7 @@ func newMemNode(name string, h Handler, delivered *metrics.Counter) *memNode {
 func (mn *memNode) enqueue(from string, payload []byte, at time.Time) {
 	mn.mu.Lock()
 	mn.seq++
-	heap.Push(&mn.queue, &delivery{from: from, payload: payload, at: at, seq: mn.seq})
+	mn.queue.push(delivery{from: from, payload: payload, at: at, seq: mn.seq})
 	mn.mu.Unlock()
 	select {
 	case mn.wake <- struct{}{}:
@@ -256,46 +292,67 @@ func (mn *memNode) enqueue(from string, payload []byte, at time.Time) {
 
 func (mn *memNode) close() { mn.once.Do(func() { close(mn.closed) }) }
 
-// dispatch delivers queued messages at their due times, in order.
+// dispatch delivers queued messages at their due times, in order. One
+// timer serves every wait of the node's lifetime.
 func (mn *memNode) dispatch() {
+	tm := time.NewTimer(time.Hour)
+	stopTimer(tm)
+	defer tm.Stop()
 	for {
-		msg, wait, empty := mn.pop()
-		switch {
-		case empty:
+		msg, wait, state := mn.pop()
+		switch state {
+		case queueEmpty:
 			select {
 			case <-mn.wake:
 			case <-mn.closed:
 				return
 			}
-		case msg != nil:
+		case queueDue:
 			mn.delivered.Inc()
 			mn.h(msg.from, msg.payload)
 		default:
-			tm := time.NewTimer(wait)
+			tm.Reset(wait)
 			select {
 			case <-mn.wake: // an earlier message may have arrived
-				tm.Stop()
+				stopTimer(tm)
 			case <-tm.C:
 			case <-mn.closed:
-				tm.Stop()
 				return
 			}
 		}
 	}
 }
 
+// stopTimer stops tm and drains a tick that fired before Stop, so the
+// next Reset starts clean under pre-Go-1.23 timer semantics too.
+func stopTimer(tm *time.Timer) {
+	if !tm.Stop() {
+		select {
+		case <-tm.C:
+		default:
+		}
+	}
+}
+
+// Queue states reported by pop.
+const (
+	queueEmpty = iota
+	queueDue
+	queueWaiting
+)
+
 // pop takes the queue's next due delivery under the lock: a message
-// when the head is due now, the wait until it is due otherwise, or
-// empty when there is nothing queued.
-func (mn *memNode) pop() (msg *delivery, wait time.Duration, empty bool) {
+// when the head is due now, the wait until it is due when it is not,
+// or queueEmpty when there is nothing queued.
+func (mn *memNode) pop() (msg delivery, wait time.Duration, state int) {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
 	if len(mn.queue) == 0 {
-		return nil, 0, true
+		return delivery{}, 0, queueEmpty
 	}
 	d := time.Until(mn.queue[0].at)
 	if d <= 0 {
-		return heap.Pop(&mn.queue).(*delivery), 0, false
+		return mn.queue.pop(), 0, queueDue
 	}
-	return nil, d, false
+	return delivery{}, d, queueWaiting
 }

@@ -124,7 +124,7 @@ func (t *TCP) readLoop(node string, conn net.Conn) {
 		}
 		d := codec.NewDecoder(frame)
 		from := d.String()
-		payload := d.BytesField()
+		payload := d.BytesView() // the frame is fresh per read
 		if d.Err() != nil {
 			return // corrupt peer; drop the connection
 		}
