@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-smoke hedge-smoke perfbench-smoke clean
+.PHONY: all check build vet test race bench examples figures verify report-smoke shard-smoke replace-smoke explore-smoke trace-smoke bench-smoke hedge-smoke perfbench-smoke loc clean
 
 all: check
 
@@ -95,6 +95,16 @@ hedge-smoke:
 perfbench-smoke:
 	bash _perfbench/run.sh --workload write-saturate --seed 1 --seconds 5 --trace 0
 	bash _perfbench/run.sh --workload read-lease --seed 1 --seconds 30 --trace 0
+
+# Non-test Go lines of code per internal/ and cmd/ package, plus their
+# total — the size ledger for "the same behaviour from the least code".
+# Prints only; nothing is gated on it.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... ./cmd/... | \
+	{ total=0; while read -r pkg files; do \
+		n=$$(cat $$files | wc -l); total=$$((total + n)); \
+		printf '%7d  %s\n' "$$n" "$${pkg#depfast/}"; \
+	done; printf '%7d  total\n' "$$total"; }
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -343,35 +343,6 @@ func awaitLeader(b *testing.B, servers map[string]*raft.Server) string {
 	return ""
 }
 
-// BenchmarkAblationBatching contrasts per-request replication (the
-// paper's DepFastRaft pattern) against batched commits at a high
-// client count — the throughput/latency trade the batching option
-// buys.
-func BenchmarkAblationBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, batching := range []bool{false, true} {
-			batching := batching
-			cfg := harness.DefaultRunConfig(harness.DepFastRaft)
-			cfg.Duration = 1500 * time.Millisecond
-			cfg.Warmup = 500 * time.Millisecond
-			cfg.Clients = 64
-			cfg.RaftMutate = func(rc *raft.Config) { rc.BatchProposals = batching }
-			res, err := harness.RunStable(cfg, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("batching=%v: %s", batching, res)
-				name := "per-request-op/s"
-				if batching {
-					name = "batched-op/s"
-				}
-				b.ReportMetric(res.Throughput, name)
-			}
-		}
-	}
-}
-
 // BenchmarkTransientFault runs the timeline experiment: a network
 // fault lands on one follower mid-run and clears; DepFastRaft's
 // windows stay flat while a baseline's sag (§5 transient faults).

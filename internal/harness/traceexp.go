@@ -91,8 +91,7 @@ func (r TraceExpResult) String() string {
 // settles the promotion deadline, the deadline is then frozen, a
 // DiskSlow fault lands on the leader, and every request the frozen
 // deadline promotes is attributed — the top (node, resource) must be
-// the leader's disk. The cluster runs unbatched so each request's
-// write stall is its own span rather than a shared committer queue.
+// the leader's disk; each request's write stall is its own span.
 // Phase two answers "what does always-on tracing cost": paired traced
 // and untraced fault-free runs at the collector's default sampling,
 // compared best against best.
@@ -123,8 +122,6 @@ func RunTraceExperiment(cfg TraceExpConfig) (TraceExpResult, error) {
 		Seed:           cfg.Seed,
 		Recorder:       rec,
 		XTracer:        col,
-		// One request, one propose, one stall span: batching would pool
-		// the backpressure wait into a shared queue and smear the blame.
 		// A tight dirty-append bound makes the leader's slow disk stall
 		// the write path promptly instead of hiding behind 64 entries of
 		// slack — the scripted fault should dominate every slow request.
@@ -134,7 +131,6 @@ func RunTraceExperiment(cfg TraceExpConfig) (TraceExpResult, error) {
 		// client's backoff owns; keeping delivery in-order leaves the
 		// disk stall as each slow request's own dominant wait.
 		RaftMutate: func(rc *raft.Config) {
-			rc.BatchProposals = false
 			rc.MaxDirtyAppends = 4
 			rc.QuorumDiscard = false
 			// A 16-message send window rejects fan-out instantly during a

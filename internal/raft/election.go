@@ -186,9 +186,6 @@ func (s *Server) becomeLeader(co *core.Coroutine, term uint64) {
 	s.publish()
 
 	s.rt.Spawn("heartbeat", func(hc *core.Coroutine) { s.heartbeatLoop(hc, term) })
-	if s.cfg.BatchProposals {
-		s.rt.Spawn("committer", func(cc *core.Coroutine) { s.committerLoop(cc, term) })
-	}
 	for _, p := range s.others() {
 		s.spawnRepair(p, term)
 	}

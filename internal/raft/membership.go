@@ -21,6 +21,7 @@ import (
 	"depfast/internal/core"
 	"depfast/internal/obs"
 	"depfast/internal/storage"
+	"depfast/internal/xtrace"
 )
 
 // Membership message tags (Raft range 200–299).
@@ -426,7 +427,7 @@ func (s *Server) validateConfChange(cc *ConfChange) error {
 // the config switches immediately (quorums for this entry already use
 // it), the record is kept for rollback, and peer plumbing (outboxes,
 // progress, repair coroutines) is synchronized. Runs on leaders (in
-// proposeConf) and followers (in handleAppendEntries) alike.
+// propose) and followers (in handleAppendEntries) alike.
 func (s *Server) adoptConfEntry(cc *ConfChange, idx uint64) {
 	prev := s.mem
 	s.mem = s.mem.apply(cc)
@@ -584,58 +585,13 @@ func (s *Server) applyConfChange(cc *ConfChange) {
 	}
 }
 
-// proposeConf appends and replicates one ConfChange in the same
-// DepFast pattern as propose, with effective-on-append semantics: the
-// new config governs this very entry's quorum. Returns the entry
-// index once committed.
+// proposeConf commits one ConfChange through propose, which vets it
+// after the write stall and adopts it on append: the new config
+// governs this very entry's quorum. Returns the entry index once
+// committed.
 func (s *Server) proposeConf(co *core.Coroutine, cc *ConfChange) (uint64, error) {
-	if s.role != Leader {
-		return 0, ErrNotLeader
-	}
-	if err := s.validateConfChange(cc); err != nil {
-		return 0, err
-	}
-	s.Proposals.Inc()
-	term := s.term
-	idx := s.wal.LastIndex() + 1
-	entry := []storage.Entry{{Index: idx, Term: term, Data: codec.Marshal(cc)}}
-	fsync, err := s.wal.Append(entry)
-	if err != nil {
-		return 0, err
-	}
-	s.cache.Put(entry[0])
-	s.persistAppend(entry)
-	s.adoptConfEntry(cc, idx)
-	s.stallDirtyWAL(co, fsync)
-	if s.role != Leader || s.term != term {
-		return 0, ErrDeposed
-	}
-
-	targets := s.broadcastTargets()
-	q := core.NewQuorumEvent(1+len(targets), s.majority())
-	q.AddJudged(fsync, nil)
-	payload := s.appendPayload(term, idx-1, entry)
-	for _, p := range targets {
-		ev := core.NewResultEvent("rpc", p)
-		q.AddJudged(ev, s.appendJudge(p, idx, term))
-		s.outboxes[p].SendPayload(payload, ev, int64(idx))
-	}
-	s.streamToLearners(entry, idx, term)
-
-	switch co.WaitQuorum(q, s.cfg.CommitTimeout) {
-	case core.QuorumOK:
-	case core.QuorumStopped:
-		return 0, ErrStopping
-	case core.QuorumRejected:
-		return 0, ErrDeposed
-	default:
-		return 0, ErrCommitTimeout
-	}
-	if s.role != Leader || s.term != term {
-		return 0, ErrDeposed
-	}
-	s.advanceCommit(idx)
-	return idx, nil
+	idx, _, err := s.propose(co, codec.Marshal(cc), xtrace.Context{})
+	return idx, err
 }
 
 // handleMemberChange services an administrative membership change on

@@ -20,8 +20,8 @@ import (
 
 const (
 	// replacementCatchupLag is how close (in log entries) a learner must
-	// trail the tip before promotion is attempted; proposeConf makes the
-	// strict check against commitIndex under the baton.
+	// trail the tip before promotion is attempted; validateConfChange
+	// makes the strict check against commitIndex under the baton.
 	replacementCatchupLag = 64
 	// replacementDeadline bounds one replacement attempt end to end.
 	// Past it the driver gives up; the policy keeps the peer condemned,

@@ -20,7 +20,9 @@ var (
 	ErrStopping      = errors.New("raft: server stopping")
 )
 
-// propose appends data as a new log entry and replicates it in the
+// propose is the leader's one commit path: client writes, the
+// election no-op barrier (nil data) and membership changes (a marshaled
+// ConfChange) all append and commit through it. It replicates in the
 // paper's DepFastRaft pattern: one QuorumEvent spanning the local
 // fsync and every follower's AppendEntries, a single quorum wait, and
 // quorum-aware backlog discard afterwards. Returns the entry index.
@@ -55,10 +57,19 @@ func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (ui
 	if s.role != Leader || s.term != term || s.stopped {
 		return 0, kv.Result{}, ErrDeposed
 	}
+	// A membership change is vetted only after the stall: nothing
+	// yields from here to the fan-out, so no second change can be
+	// appended between this check and this entry (one in flight).
+	cc := decodeConfChange(data)
+	if cc != nil {
+		if err := s.validateConfChange(cc); err != nil {
+			return 0, kv.Result{}, err
+		}
+	}
 	idx := s.wal.LastIndex() + 1
-	entry := storage.Entry{Index: idx, Term: term, Data: data}
+	entries := []storage.Entry{{Index: idx, Term: term, Data: data}}
 	appendStart := time.Now()
-	fsync, err := s.wal.Append([]storage.Entry{entry})
+	fsync, err := s.wal.Append(entries)
 	if err != nil {
 		return 0, kv.Result{}, err
 	}
@@ -75,14 +86,21 @@ func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (ui
 			}
 		})
 	}
-	s.cache.Put(entry)
-	s.persistAppend([]storage.Entry{entry})
-	s.enrollDirtyFsync(fsync)
+	s.cache.Put(entries[0])
+	s.persistAppend(entries)
+	if s.cfg.MaxDirtyAppends >= 0 {
+		s.dirtyFsyncs = append(s.dirtyFsyncs, fsync)
+	}
+	if cc != nil {
+		// Effective on append, exactly as on followers: the new config
+		// already governs this entry's own quorum.
+		s.adoptConfEntry(cc, idx)
+	}
 
 	targets := s.broadcastTargets()
 	q := core.NewQuorumEvent(1+len(targets), s.majority())
 	q.AddJudged(fsync, nil) // the leader's own durable append is one ack
-	payload := s.appendPayload(term, idx-1, []storage.Entry{entry})
+	payload := s.appendPayload(term, idx-1, entries)
 	for _, p := range targets {
 		ev := core.NewResultEvent("rpc", p)
 		judge := s.appendJudge(p, idx, term)
@@ -92,7 +110,7 @@ func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (ui
 		q.AddJudged(ev, judge)
 		s.outboxes[p].SendPayload(payload, ev, int64(idx))
 	}
-	s.streamToLearners([]storage.Entry{entry}, idx, term)
+	s.streamToLearners(entries, idx, term)
 	fanned := time.Now()
 
 	switch co.WaitQuorum(q, s.cfg.CommitTimeout) {
@@ -136,7 +154,31 @@ func (s *Server) propose(co *core.Coroutine, data []byte, tc xtrace.Context) (ui
 	return idx, res, nil
 }
 
-// recordStall attributes a write-stall wait (stallDirtyWAL blocking on
+// admitDirtyWAL is the write stall that keeps a fail-slow disk's dirty
+// backlog explicit and bounded: once MaxDirtyAppends leader appends
+// are un-fsynced, the next propose takes a bounded wait on the oldest
+// flush before it may append. Quorums carried by healthy followers
+// would otherwise let the leader run arbitrarily far ahead of its own
+// durability, hiding the fault instead of surfacing it to the
+// detectors and the clients of this one shard. propose enrolls each
+// append's flush event in dirtyFsyncs.
+func (s *Server) admitDirtyWAL(co *core.Coroutine) {
+	if s.cfg.MaxDirtyAppends < 0 {
+		return
+	}
+	for len(s.dirtyFsyncs) >= s.cfg.MaxDirtyAppends {
+		oldest := s.dirtyFsyncs[0]
+		s.dirtyFsyncs = s.dirtyFsyncs[1:]
+		if !oldest.Ready() {
+			s.WALStalls.Inc()
+		}
+		if co.WaitFor(oldest, s.cfg.DiskWaitTimeout) == core.WaitStopped {
+			return
+		}
+	}
+}
+
+// recordStall attributes a write-stall wait (admitDirtyWAL blocking on
 // the oldest dirty fsync) to this node's disk — the exact mechanism
 // that puts a fail-slow leader disk onto request critical paths.
 // Sub-half-millisecond stalls are noise and skipped.
@@ -342,10 +384,6 @@ func (s *Server) handleClientRequest(co *core.Coroutine, from string, req codec.
 	if s.cfg.ReadIndex && m.Cmd.Op == kv.OpGet {
 		return s.readIndex(co, m, tc)
 	}
-	if s.cfg.BatchProposals {
-		return s.enqueueProposal(co, m, tc)
-	}
-
 	_, res, err := s.propose(co, codec.Marshal(m), tc)
 	if err != nil {
 		return &kv.ClientResponse{OK: false, NotLeader: errors.Is(err, ErrNotLeader) || errors.Is(err, ErrDeposed),

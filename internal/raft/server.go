@@ -113,12 +113,6 @@ type Config struct {
 	// the stall; 0 selects the default.
 	MaxDirtyAppends int
 
-	// BatchProposals groups concurrent client commands into shared log
-	// appends and AppendEntries messages (one QuorumEvent per batch),
-	// amortizing per-request replication costs under high client
-	// counts. Off by default: the paper's per-request pattern.
-	BatchProposals bool
-
 	// SnapshotThreshold compacts the log (taking a state-machine
 	// snapshot) once this many applied entries are retained; 0
 	// disables compaction.
@@ -297,12 +291,11 @@ type Server struct {
 	snapData    []byte
 
 	results  map[uint64]kv.Result // applied results awaiting their proposer
-	propQ    *core.Queue[*pendingProposal]
-	detector *detect.Detector // nil unless cfg.PeerDetector
+	detector *detect.Detector     // nil unless cfg.PeerDetector
 
 	// dirtyFsyncs are the in-flight WAL flush events of leader appends,
-	// oldest first; the commit path stalls (bounded) once it exceeds
-	// cfg.MaxDirtyAppends.
+	// oldest first; propose stalls (bounded) while it holds
+	// cfg.MaxDirtyAppends of them.
 	dirtyFsyncs []*core.ResultEvent
 
 	// Mitigation state — baton context only, except where noted.
@@ -431,7 +424,6 @@ func NewServer(cfg Config, e *env.Env, tr transport.Transport, opts ...core.Opti
 		Mitigation:     metrics.NewMitigation(),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		lastHeartbeat:  time.Now(),
-		propQ:          core.NewQueue[*pendingProposal](),
 		quarantined:    make(map[string]bool),
 		slowVotes:      make(map[string]time.Time),
 		peerSelfSlow:   make(map[string]time.Time),

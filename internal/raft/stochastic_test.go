@@ -2,20 +2,21 @@ package raft
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"depfast/internal/core"
-	"depfast/internal/env"
 	"depfast/internal/failslow"
 )
 
-// TestStochasticFailSlowSoak drives writes while random transient
-// fail-slow episodes (the §3.3 probability-model direction) churn
-// through the followers. Unlike the partition chaos test, nothing
-// here ever stops a node — components only get slow — so DepFastRaft
-// must keep committing throughout, not merely recover afterwards.
+// TestStochasticFailSlowSoak drives writes while a seeded schedule of
+// transient fail-slow episodes (the §3.3 probability-model direction)
+// churns through the followers. Unlike the partition chaos test,
+// nothing here ever stops a node — components only get slow — so
+// DepFastRaft must keep committing throughout, not merely recover
+// afterwards.
 func TestStochasticFailSlowSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test is seconds-long")
@@ -23,22 +24,46 @@ func TestStochasticFailSlowSoak(t *testing.T) {
 	c := newCluster(t, clusterOpts{n: 3})
 	leader := c.waitLeader()
 
-	// Random transient faults on the two followers only (the paper's
-	// measurement keeps leaders healthy; the detector experiment
-	// covers slow leaders).
-	var followerEnvs []*env.Env
+	// Episodes land on the two followers only (the paper's measurement
+	// keeps leaders healthy; the detector experiment covers slow
+	// leaders). Per follower: exponential quiet gaps (mean 150ms) and
+	// episode lengths (mean 400ms, clamped to [1/10, 10]× the mean),
+	// each a fault drawn from failslow.Injected, all from one seed.
+	const duration = 4 * time.Second
+	rng := rand.New(rand.NewSource(99))
+	expDur := func(mean time.Duration) time.Duration {
+		d := time.Duration(rng.ExpFloat64() * float64(mean))
+		return min(max(d, mean/10), mean*10)
+	}
+	script := failslow.NewScript(nil, failslow.DefaultIntensity())
+	var episodes atomic.Int64
+	var timers []*time.Timer
 	for _, n := range c.names {
-		if n != leader {
-			followerEnvs = append(followerEnvs, c.envs[n])
+		if n == leader {
+			continue
+		}
+		e := c.envs[n]
+		for at := expDur(150 * time.Millisecond); at < duration; {
+			f := failslow.Injected[rng.Intn(len(failslow.Injected))]
+			end := at + expDur(400*time.Millisecond)
+			timers = append(timers,
+				time.AfterFunc(at, func() {
+					script.Inject(e, f, 1)
+					episodes.Add(1)
+				}),
+				time.AfterFunc(end, func() { script.Clear(e) }))
+			at = end + expDur(150*time.Millisecond)
 		}
 	}
-	rf := failslow.NewRandomFaults(followerEnvs, failslow.DefaultIntensity(),
-		150*time.Millisecond, 400*time.Millisecond, 99)
-	rf.Start()
-	defer rf.Stop()
+	stopFaults := func() {
+		for _, tm := range timers {
+			tm.Stop()
+		}
+		script.ClearAll()
+	}
+	defer stopFaults()
 
 	const clients = 8
-	const duration = 4 * time.Second
 	var ops atomic.Int64
 	var errs atomic.Int64
 	deadline := time.Now().Add(duration)
@@ -66,14 +91,13 @@ func TestStochasticFailSlowSoak(t *testing.T) {
 			t.Fatal("soak clients hung")
 		}
 	}
-	rf.Stop()
+	stopFaults()
 
 	total := ops.Load()
 	rate := float64(total) / duration.Seconds()
-	episodes := len(rf.History())
 	t.Logf("soak: %d writes (%.0f/s), %d errors, %d fail-slow episodes",
-		total, rate, errs.Load(), episodes)
-	if episodes == 0 {
+		total, rate, errs.Load(), episodes.Load())
+	if episodes.Load() == 0 {
 		t.Fatal("no fail-slow episodes were injected; test proved nothing")
 	}
 	// The cluster must sustain meaningful throughput under continuous

@@ -33,7 +33,7 @@ type ClusterConfig struct {
 
 	// RaftMutate, when set, adjusts each server's config after
 	// defaults are applied — the hook harnesses use to enable
-	// mitigation, shrink timeouts, or tune batching per group.
+	// mitigation, shrink timeouts, or tune the write stall per group.
 	RaftMutate func(group int, cfg *raft.Config)
 
 	// SparesPerGroup provisions that many idle spare replicas per
